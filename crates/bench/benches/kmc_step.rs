@@ -1,6 +1,6 @@
 //! Bench of the AKMC hot path: one KMC step (cached vs direct evaluation),
-//! the serial-vs-parallel vacancy-cache refresh, and the propensity
-//! sum-tree primitives.
+//! the refresh pipeline under its serial, parallel and batched plans, and
+//! the propensity sum-tree primitives.
 
 use std::hint::black_box;
 use tensorkmc::core::{EvalMode, SumTree};
@@ -26,21 +26,21 @@ fn bench_kmc_step(c: &mut Criterion) {
     g.finish();
 }
 
-/// Serial vs parallel vs batched vacancy-cache refresh at increasing
-/// vacancy counts.
+/// Three plans of the one refresh pipeline at increasing vacancy counts.
 ///
 /// Uses Direct mode so every refresh pays a full NNP forward pass — the
-/// workload the parallel fan-out and the cross-system batching in
-/// `refresh_invalid` exist to hide. The box is 10³ cells (2 000 sites); the
+/// workload the worker fan-out and the cross-system batching of
+/// `core::refresh` exist to hide. The box is 10³ cells (2 000 sites); the
 /// vacancy fraction is chosen to land the requested vacancy count, so each
 /// hop invalidates a batch that grows with density. Trajectories are
-/// bit-identical across all three variants (same seed, same float-op
-/// order), so the comparison is purely timing:
+/// bit-identical across all three plans (same seed, same float-op order),
+/// so the comparison is purely timing:
 ///
-/// * `serial` — one thread, one kernel call per stale system;
-/// * `parallel` — threaded per-system refresh (PR 3's path);
-/// * `batched` — threaded feature build, one kernel call for the whole
-///   stale set (`batch_systems = 0`).
+/// * `serial` — `(batch_systems 1, refresh_threads 1)`: one worker, one
+///   kernel call per stale system;
+/// * `parallel` — `(1, n)`: per-system chunks spread over `n` workers;
+/// * `batched` — `(0, n)`: VETs gathered over `n` workers, then one chunk,
+///   so one kernel call for every memo miss of the refresh.
 ///
 /// Each variant runs twice: `dense` (full (1+8)·N_region feature rows per
 /// system, the ablation baseline) and `delta` (affected rows recomputed,

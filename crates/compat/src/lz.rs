@@ -186,15 +186,27 @@ fn insert(
 }
 
 /// Decompresses a `TKZ1` payload produced by [`compress`].
+///
+/// The length header is untrusted: a token byte expands to at most
+/// `MAX_MATCH / 2` = 9 output bytes (a literal yields 1, a 2-byte match at
+/// most [`MAX_MATCH`]), so a header claiming more than 9 × the token bytes
+/// is rejected as [`LzError::Truncated`] before anything is allocated.
+/// Token bytes left over once the declared length is produced are an
+/// [`LzError::Overrun`].
 pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, LzError> {
     if payload.len() < 12 || &payload[..4] != MAGIC {
         return Err(LzError::BadMagic);
     }
     let mut len_bytes = [0u8; 8];
     len_bytes.copy_from_slice(&payload[4..12]);
-    let total = u64::from_le_bytes(len_bytes) as usize;
-    let mut out = Vec::with_capacity(total);
     let mut rest = &payload[12..];
+    let max_total = (rest.len() as u64).saturating_mul((MAX_MATCH / 2) as u64);
+    let total = u64::from_le_bytes(len_bytes);
+    if total > max_total {
+        return Err(LzError::Truncated);
+    }
+    let total = total as usize;
+    let mut out = Vec::with_capacity(total);
     while out.len() < total {
         let (&flags, tokens) = rest.split_first().ok_or(LzError::Truncated)?;
         rest = tokens;
@@ -236,6 +248,9 @@ pub fn decompress(payload: &[u8]) -> Result<Vec<u8>, LzError> {
                 out.push(b);
             }
         }
+    }
+    if !rest.is_empty() {
+        return Err(LzError::Overrun);
     }
     Ok(out)
 }
@@ -316,6 +331,37 @@ mod tests {
     }
 
     #[test]
+    fn bit_flips_are_typed_errors_without_panics() {
+        use crate::prop::check;
+        use crate::rng::Rng;
+        check(|g| {
+            let n = g.gen_range(0..2000usize);
+            let data: Vec<u8> = (0..n).map(|_| b'a' + g.gen_range(0..4u8)).collect();
+            let z = compress(&data);
+            // Any flip in the length header is caught: a larger claim runs
+            // out of tokens (or exceeds the maximum expansion, which is
+            // checked before allocating), a smaller one leaves tokens over.
+            let bit = g.gen_range(0..64usize);
+            let mut bad = z.clone();
+            bad[4 + bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                matches!(decompress(&bad), Err(LzError::Truncated | LzError::Overrun)),
+                "length bit {bit} of a {n}-byte payload"
+            );
+            // A flip in the token stream may still decode (a literal byte
+            // changes), but never panics and never exceeds the header.
+            if z.len() > 12 {
+                let bit = g.gen_range(0..(z.len() - 12) * 8);
+                let mut bad = z.clone();
+                bad[12 + bit / 8] ^= 1 << (bit % 8);
+                if let Ok(out) = decompress(&bad) {
+                    assert_eq!(out.len(), n, "token bit {bit}");
+                }
+            }
+        });
+    }
+
+    #[test]
     fn corrupt_payloads_are_typed_errors() {
         assert_eq!(decompress(b"nope"), Err(LzError::BadMagic));
         assert_eq!(decompress(b""), Err(LzError::BadMagic));
@@ -326,6 +372,9 @@ mod tests {
             decompress(&z),
             Err(LzError::Truncated) | Err(LzError::Overrun)
         ));
+        // A 1 TiB claim is refused before anything is allocated.
+        z[4..12].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(decompress(&z), Err(LzError::Truncated));
         // A match token at output position 0 has nothing to refer to.
         let mut forged = Vec::new();
         forged.extend_from_slice(MAGIC);

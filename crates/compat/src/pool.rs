@@ -35,9 +35,20 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    par_chunks_mut_threads(max_threads(), data, chunk_size, f)
+}
+
+/// [`par_chunks_mut`] with an explicit worker cap instead of the
+/// process-wide [`max_threads`]. `threads ≤ 1` runs inline; the cap is
+/// additionally clamped to the chunk count.
+pub fn par_chunks_mut_threads<T, F>(threads: usize, data: &mut [T], chunk_size: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
     assert!(chunk_size > 0, "chunk_size must be positive");
     let n_chunks = data.len().div_ceil(chunk_size);
-    let workers = max_threads().min(n_chunks);
+    let workers = threads.min(n_chunks);
     if workers <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_size).enumerate() {
             f(i, chunk);
@@ -156,6 +167,11 @@ mod tests {
             assert_eq!(out, (0..50).map(|i| i * 3).collect::<Vec<_>>(), "{threads}");
         }
         assert!(par_map_collect_threads(4, 0, |i| i).is_empty());
+        for threads in [0, 1, 3] {
+            let mut data = vec![0usize; 20];
+            par_chunks_mut_threads(threads, &mut data, 1, |i, c| c[0] = i + 1);
+            assert_eq!(data, (1..=20).collect::<Vec<_>>(), "{threads}");
+        }
     }
 
     #[test]

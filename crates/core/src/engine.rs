@@ -15,14 +15,14 @@
 use crate::energycache::{EnergyMemoCache, MemoStats};
 use crate::error::KmcError;
 use crate::rates::RateLaw;
+use crate::refresh::{RefreshPipeline, RefreshPlan};
 use crate::rng::Pcg32;
 use crate::sumtree::SumTree;
 use crate::system::VacancySystem;
 use crate::vacindex::VacancyBinIndex;
 use std::sync::Arc;
-use tensorkmc_compat::pool;
 use tensorkmc_lattice::{HalfVec, RegionGeometry, SiteArray, Species};
-use tensorkmc_operators::{Precision, StateEnergies, VacancyEnergyEvaluator};
+use tensorkmc_operators::{Precision, VacancyEnergyEvaluator};
 use tensorkmc_telemetry::{keys, Counter, Histogram, Registry, SpanGuard, Timer, Tracer};
 
 /// Cached telemetry handles for the engine hot path: resolved once at
@@ -36,10 +36,6 @@ struct EngineTelemetry {
     cache_hit: Arc<Counter>,
     cache_miss: Arc<Counter>,
     refreshed_per_step: Arc<Histogram>,
-    refresh_parallel: Arc<Timer>,
-    refresh_batch: Arc<Histogram>,
-    refresh_batch_rows: Arc<Histogram>,
-    refresh_batch_rows_dense: Arc<Histogram>,
     energy_hit: Arc<Counter>,
     energy_miss: Arc<Counter>,
     energy_evict: Arc<Counter>,
@@ -60,10 +56,6 @@ impl EngineTelemetry {
             cache_hit: registry.counter(keys::CACHE_HIT),
             cache_miss: registry.counter(keys::CACHE_MISS),
             refreshed_per_step: registry.histogram(keys::REFRESHED_PER_STEP),
-            refresh_parallel: registry.timer(keys::REFRESH_PARALLEL),
-            refresh_batch: registry.histogram(keys::REFRESH_BATCH),
-            refresh_batch_rows: registry.histogram(keys::REFRESH_BATCH_ROWS),
-            refresh_batch_rows_dense: registry.histogram(keys::REFRESH_BATCH_ROWS_DENSE),
             energy_hit: registry.counter(keys::ENERGY_CACHE_HIT),
             energy_miss: registry.counter(keys::ENERGY_CACHE_MISS),
             energy_evict: registry.counter(keys::ENERGY_CACHE_EVICT),
@@ -77,10 +69,6 @@ impl EngineTelemetry {
         self.tracer.as_ref().map(|t| t.span(name))
     }
 }
-
-/// Fewest stale systems worth fanning out: below this the per-call thread
-/// spawn of `compat::pool` costs more than the refreshes it parallelises.
-const PAR_REFRESH_MIN_BATCH: usize = 2;
 
 /// Default bound of the VET→energy memo cache. At paper geometry one entry
 /// is ~1.2 KB (the VET key dominates), so the default costs a few MB — far
@@ -110,20 +98,21 @@ pub struct KmcConfig {
     pub mode: EvalMode,
     /// Rebuild the sum-tree every this many steps to cure float drift.
     pub tree_rebuild_interval: u64,
-    /// Worker threads for the refresh phase: `0` or `1` runs serially, `n ≥
-    /// 2` fans stale-system refreshes out over `n` scoped threads. The
-    /// trajectory is bit-identical either way (each refresh is an
-    /// independent pure function of the lattice; rates are applied to the
-    /// propensity tree in system order), so this is an execution knob, not
-    /// trajectory state — it is deliberately *not* persisted in checkpoints.
+    /// Worker threads of the refresh pipeline: `0` or `1` runs inline, `n ≥
+    /// 2` gathers the stale VETs and evaluates the refresh chunks over `n`
+    /// scoped threads. The trajectory is bit-identical either way (each
+    /// system's energies are a pure function of its VET; rates are applied
+    /// to the propensity tree in system order), so this is an execution
+    /// knob, not trajectory state — it is deliberately *not* persisted in
+    /// checkpoints.
     pub refresh_threads: usize,
-    /// Maximum vacancy systems folded into one batched evaluator call
-    /// during a refresh: `0` = unbounded (the whole stale set in a single
-    /// kernel invocation), `1` = the per-system path, `n ≥ 2` = chunks of
-    /// `n`. Batching amortises fixed kernel costs — above all the
-    /// big-fusion weight RMA — over the batch. Like `refresh_threads`,
-    /// this is an execution knob: trajectories are bit-identical at any
-    /// batch size, and the knob is not persisted in checkpoints.
+    /// Maximum memo misses folded into one evaluator call (one refresh
+    /// chunk): `0` = unbounded (every miss in a single kernel invocation),
+    /// `1` = one call per system, `n ≥ 2` = chunks of `n`. Batching
+    /// amortises fixed kernel costs — above all the big-fusion weight RMA —
+    /// over the chunk. Like `refresh_threads`, this is an execution knob:
+    /// trajectories are bit-identical at any chunk size, and the knob is
+    /// not persisted in checkpoints.
     pub batch_systems: usize,
     /// Delta-state feature path: `true` (the default) computes only the
     /// rows the swap semantics can change and infers only content-unique
@@ -263,8 +252,8 @@ pub struct KmcEngine<E> {
     /// consults only the bins around the changed sites instead of scanning
     /// every cached system.
     vacindex: VacancyBinIndex,
-    /// Scratch buffer of stale system indices, reused across steps.
-    stale: Vec<usize>,
+    /// The refresh pipeline: reusable scratch buffers and its telemetry.
+    refresh: RefreshPipeline,
     /// Global VET→energy memo (the second cache level above the vacancy
     /// cache): recurring environments replay stored energies and skip
     /// feature build + inference. Execution policy only — trajectories are
@@ -327,22 +316,22 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
             stats: KmcStats::default(),
             footprint_n2,
             vacindex,
-            stale: Vec::new(),
+            refresh: RefreshPipeline::default(),
             memo,
             memo_reported: MemoStats::default(),
             telemetry: None,
         })
     }
 
-    /// Sets the refresh-phase worker-thread count (`0`/`1` = serial). Safe
-    /// at any point: the parallel path is bit-identical to the serial one.
+    /// Sets the refresh pipeline's worker count (`0`/`1` = inline). Safe
+    /// at any point: every worker count gives bit-identical trajectories.
     pub fn set_refresh_threads(&mut self, threads: usize) {
         self.config.refresh_threads = threads;
     }
 
-    /// Sets the refresh batch size (`0` = unbounded, `1` = per-system).
-    /// Safe at any point: the batched path is bit-identical to the
-    /// per-system one at any batch size.
+    /// Sets the refresh chunk size (`0` = unbounded, `1` = per-system).
+    /// Safe at any point: every chunk size gives bit-identical
+    /// trajectories.
     pub fn set_batch_systems(&mut self, batch: usize) {
         self.config.batch_systems = batch;
     }
@@ -396,11 +385,13 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
     /// reads and relaxed atomic adds.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         self.telemetry = Some(EngineTelemetry::new(registry));
+        self.refresh.attach_telemetry(registry);
     }
 
     /// Detaches telemetry (steps stop being recorded).
     pub fn detach_telemetry(&mut self) {
         self.telemetry = None;
+        self.refresh.detach_telemetry();
     }
 
     /// The lattice (for analysis snapshots).
@@ -438,110 +429,28 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
         &self.systems
     }
 
-    /// Refreshes every invalidated system and its tree leaf.
-    ///
-    /// Three execution strategies, all bit-identical (each refresh is an
-    /// independent pure function of the lattice, and rates reach the
-    /// propensity tree *in ascending system-index order* via
-    /// [`SumTree::set_many`], reproducing the serial float-op sequence):
-    ///
-    /// * **Batched** (`batch_systems ≠ 1`, the default): VETs of the stale
-    ///   systems are gathered on the scoped thread pool, then each chunk of
-    ///   up to `batch_systems` systems (`0` = all of them) goes through a
-    ///   single [`VacancyEnergyEvaluator::evaluate_states_batch`] call —
-    ///   one kernel invocation, one weight fetch — and the rates are
-    ///   derived per system with [`VacancySystem::apply_energies`].
-    /// * **Parallel per-system** (`batch_systems == 1`,
-    ///   `refresh_threads ≥ 2`): stale systems fan out over scoped worker
-    ///   threads, each running its own full refresh.
-    /// * **Serial per-system** (otherwise): the reference loop.
+    /// Refreshes every invalidated system (every system in
+    /// [`EvalMode::Direct`]) and its tree leaf through the shared
+    /// [`RefreshPipeline`], chunked by `batch_systems` over
+    /// `refresh_threads` workers.
     fn refresh_invalid(&mut self) -> Result<(), KmcError> {
         let direct = self.config.mode == EvalMode::Direct;
-        let mut stale = std::mem::take(&mut self.stale);
-        stale.clear();
-        stale.extend(
-            self.systems
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.valid || direct)
-                .map(|(i, _)| i),
-        );
-        let refreshed = stale.len() as u64;
-        let threads = self.config.refresh_threads;
-        let batch = self.config.batch_systems;
-        if batch != 1 && stale.len() >= PAR_REFRESH_MIN_BATCH {
-            self.refresh_batched(&stale, refreshed)?;
-        } else if threads >= 2 && stale.len() >= PAR_REFRESH_MIN_BATCH {
-            let par_span = self.telemetry.as_ref().map(|t| {
-                t.refresh_batch.record(refreshed);
-                t.refresh_parallel.scoped()
-            });
-            // Gather every stale VET on the pool, probe the memo serially
-            // (it is a &mut structure), then evaluate only the misses in
-            // parallel. Each evaluation is a pure function of its VET, so
-            // skipping the hits changes no bits of the remaining ones.
-            let gathered: Vec<VacancySystem> = {
-                let systems = &self.systems;
-                let lattice = &self.lattice;
-                let geom = &self.geom;
-                let stale = &stale;
-                pool::par_map_collect_threads(threads, stale.len(), |j| {
-                    let mut sys = systems[stale[j]].clone();
-                    sys.gather_vet(lattice, geom);
-                    sys
-                })
-            };
-            let mut energies: Vec<Option<StateEnergies>> = gathered
-                .iter()
-                .map(|sys| self.memo.lookup(&sys.vet))
-                .collect();
-            let miss_idx: Vec<usize> = (0..gathered.len())
-                .filter(|&j| energies[j].is_none())
-                .collect();
-            if !miss_idx.is_empty() {
-                let computed: Vec<Result<StateEnergies, KmcError>> = {
-                    let gathered = &gathered;
-                    let miss_idx = &miss_idx;
-                    let evaluator = &self.evaluator;
-                    pool::par_map_collect_threads(threads, miss_idx.len(), |m| {
-                        Ok(evaluator.state_energies(&gathered[miss_idx[m]].vet)?)
-                    })
-                };
-                for (m, r) in miss_idx.into_iter().zip(computed) {
-                    let e = r?;
-                    self.memo.insert(&gathered[m].vet, &e);
-                    energies[m] = Some(e);
-                }
-            }
-            drop(par_span);
-            let mut rates = Vec::with_capacity(stale.len());
-            for (j, (mut sys, e)) in gathered.into_iter().zip(energies).enumerate() {
-                let e = e.expect("every stale system has energies");
-                sys.apply_energies(&self.geom, &self.config.law, &e);
-                rates.push(sys.total_rate);
-                self.systems[stale[j]] = sys;
-            }
-            self.tree.set_many(&stale, &rates);
-        } else {
-            for &i in &stale {
-                // Split borrows: the system, the memo, and the evaluator
-                // are disjoint fields.
-                let sys = &mut self.systems[i];
-                sys.gather_vet(&self.lattice, &self.geom);
-                let e = match self.memo.lookup(&sys.vet) {
-                    Some(e) => e,
-                    None => {
-                        let e = self.evaluator.state_energies(&sys.vet)?;
-                        self.memo.insert(&sys.vet, &e);
-                        e
-                    }
-                };
-                sys.apply_energies(&self.geom, &self.config.law, &e);
-                self.tree.set(i, sys.total_rate);
-            }
-        }
+        let lattice = &self.lattice;
+        let refreshed = self.refresh.run(
+            &mut self.systems,
+            |_, s| !s.valid || direct,
+            |p| lattice.at(p),
+            &self.geom,
+            &self.config.law,
+            &self.evaluator,
+            &mut self.memo,
+            &mut self.tree,
+            RefreshPlan {
+                batch_systems: self.config.batch_systems,
+                threads: self.config.refresh_threads,
+            },
+        )? as u64;
         self.stats.refreshes += refreshed;
-        self.stale = stale;
         if let Some(t) = &self.telemetry {
             // A system that was still valid is a vacancy-cache hit; a
             // refresh is the miss work the cache exists to avoid. The memo
@@ -558,97 +467,6 @@ impl<E: VacancyEnergyEvaluator> KmcEngine<E> {
             t.energy_collision.add(d.collisions);
             self.memo_reported = memo;
         }
-        Ok(())
-    }
-
-    /// The batched refresh: parallel VET gather, one evaluator call per
-    /// chunk, ordered write-back.
-    ///
-    /// Chunks are consecutive runs of the (ascending) stale list, so
-    /// applying each chunk's rates through [`SumTree::set_many`] replays
-    /// exactly the serial per-system update sequence — at any
-    /// `batch_systems`, any `refresh_threads`, and any chunk boundary.
-    fn refresh_batched(&mut self, stale: &[usize], refreshed: u64) -> Result<(), KmcError> {
-        let threads = self.config.refresh_threads.max(1);
-        let chunk_cap = match self.config.batch_systems {
-            0 => stale.len(),
-            n => n,
-        };
-        let dense_rows_per_sys = (1 + tensorkmc_operators::N_FINAL_STATES) * self.geom.n_region();
-        let rows_per_sys = self.evaluator.rows_per_system();
-        let par_span = self.telemetry.as_ref().map(|t| {
-            t.refresh_batch.record(refreshed);
-            (threads >= 2).then(|| t.refresh_parallel.scoped())
-        });
-        for chunk in stale.chunks(chunk_cap) {
-            // Gathering a VET only reads the shared lattice, so the chunk's
-            // gathers run concurrently on the scoped pool (inline when
-            // `threads <= 1`), preserving chunk order.
-            let gather_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace(keys::REFRESH_GATHER));
-            let gathered: Vec<VacancySystem> = {
-                let systems = &self.systems;
-                let lattice = &self.lattice;
-                let geom = &self.geom;
-                pool::par_map_collect_threads(threads, chunk.len(), |j| {
-                    let mut sys = systems[chunk[j]].clone();
-                    sys.gather_vet(lattice, geom);
-                    sys
-                })
-            };
-            drop(gather_trace);
-            // Memo probe before the kernel call: hits drop out of the
-            // chunk, misses still share one batched invocation (one weight
-            // fetch). Each system's energies are a pure function of its own
-            // VET, so thinning the batch changes no bits of the rest — the
-            // same invariant `batched_is_bit_identical_to_per_system` pins.
-            let mut energies: Vec<Option<StateEnergies>> = gathered
-                .iter()
-                .map(|sys| self.memo.lookup(&sys.vet))
-                .collect();
-            let miss_idx: Vec<usize> = (0..gathered.len())
-                .filter(|&j| energies[j].is_none())
-                .collect();
-            if let Some(t) = &self.telemetry {
-                // Rows actually submitted to the kernel (memo hits skip
-                // theirs; `rows_per_system` is the packed count on the
-                // delta path) vs. the dense-equivalent figure.
-                t.refresh_batch_rows
-                    .record((miss_idx.len() * rows_per_sys) as u64);
-                t.refresh_batch_rows_dense
-                    .record((chunk.len() * dense_rows_per_sys) as u64);
-            }
-            if !miss_idx.is_empty() {
-                // One kernel call for the chunk's misses: the weight RMA of
-                // the big-fusion operator is paid here once, not per system.
-                let vets: Vec<&[Species]> = miss_idx
-                    .iter()
-                    .map(|&j| gathered[j].vet.as_slice())
-                    .collect();
-                let computed = self.evaluator.evaluate_states_batch(&vets)?;
-                debug_assert_eq!(computed.len(), miss_idx.len());
-                for (&j, e) in miss_idx.iter().zip(computed) {
-                    self.memo.insert(&gathered[j].vet, &e);
-                    energies[j] = Some(e);
-                }
-            }
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace(keys::REFRESH_SCATTER));
-            let mut rates = Vec::with_capacity(chunk.len());
-            for (j, (mut sys, e)) in gathered.into_iter().zip(energies).enumerate() {
-                let e = e.expect("every chunk member has energies");
-                sys.apply_energies(&self.geom, &self.config.law, &e);
-                rates.push(sys.total_rate);
-                self.systems[chunk[j]] = sys;
-            }
-            self.tree.set_many(chunk, &rates);
-            drop(scatter_trace);
-        }
-        drop(par_span);
         Ok(())
     }
 

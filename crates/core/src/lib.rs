@@ -13,6 +13,9 @@
 //!   packed VET bit patterns to the 1+8 state energies, so a recurring
 //!   environment skips feature build and inference entirely (bit-identity
 //!   by construction — the key is the value).
+//! * [`refresh`] — the one refresh pipeline (gather → memo → chunked
+//!   batched evaluation → ordered rate write-back) shared by the engine and
+//!   the sublattice rank worker.
 //! * [`engine`] — the serial AKMC driver with two evaluation modes:
 //!   `Cached` (triple encoding + vacancy cache, TensorKMC proper) and
 //!   `Direct` (recompute everything every step, the Fig. 8 baseline). Both
@@ -26,6 +29,7 @@ pub mod error;
 pub mod eventlog;
 pub mod memory;
 pub mod rates;
+pub mod refresh;
 pub mod rng;
 pub mod sumtree;
 pub mod system;
@@ -36,6 +40,7 @@ pub use engine::{Checkpoint, EvalMode, HopEvent, KmcConfig, KmcEngine, KmcStats}
 pub use error::KmcError;
 pub use eventlog::EventLog;
 pub use rates::{RateLaw, BOLTZMANN_EV_PER_K, DEFAULT_ATTEMPT_FREQUENCY};
+pub use refresh::{RefreshPipeline, RefreshPlan};
 pub use tensorkmc_operators::Precision;
 pub use rng::Pcg32;
 pub use sumtree::SumTree;

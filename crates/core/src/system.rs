@@ -6,10 +6,9 @@
 //! to the vacancy's position. Together with the cached transition rates this
 //! is the "vacancy cache" of paper §3.2.
 
-use crate::error::KmcError;
 use crate::rates::RateLaw;
 use tensorkmc_lattice::{HalfVec, RegionGeometry, SiteArray, Species};
-use tensorkmc_operators::{StateEnergies, VacancyEnergyEvaluator};
+use tensorkmc_operators::StateEnergies;
 
 /// One cached vacancy system.
 #[derive(Debug, Clone)]
@@ -63,35 +62,10 @@ impl VacancySystem {
         );
     }
 
-    /// Recomputes the VET, the state energies and the 8 transition rates.
-    pub fn refresh<E: VacancyEnergyEvaluator + ?Sized>(
-        &mut self,
-        lattice: &SiteArray,
-        geom: &RegionGeometry,
-        evaluator: &E,
-        law: &RateLaw,
-    ) -> Result<(), KmcError> {
-        self.refresh_with(|p| lattice.at(p), geom, evaluator, law)
-    }
-
-    /// [`Self::refresh`] through an arbitrary site accessor.
-    pub fn refresh_with<E: VacancyEnergyEvaluator + ?Sized>(
-        &mut self,
-        species_at: impl Fn(HalfVec) -> Species,
-        geom: &RegionGeometry,
-        evaluator: &E,
-        law: &RateLaw,
-    ) -> Result<(), KmcError> {
-        self.gather_vet_with(species_at, geom);
-        let energies = evaluator.state_energies(&self.vet)?;
-        self.apply_energies(geom, law, &energies);
-        Ok(())
-    }
-
-    /// Converts already-computed state energies into the 8 transition rates
-    /// and marks the system valid — the tail of [`Self::refresh`], split out
-    /// so the engine's batched refresh can feed energies from a single
-    /// cross-system kernel call. Requires a freshly gathered VET (the rates
+    /// Converts state energies into the 8 transition rates and marks the
+    /// system valid — the tail of the refresh pipeline
+    /// ([`crate::refresh`]), which feeds it energies from the memo or from a
+    /// batched evaluator call. Requires a freshly gathered VET (the rates
     /// depend on which species sits at each 1NN site). The float-op order
     /// is fixed (ascending direction), so rates are bit-identical however
     /// the energies were produced, as long as the energies are.
@@ -146,8 +120,21 @@ mod tests {
     use tensorkmc_compat::rng::StdRng;
     use tensorkmc_lattice::PeriodicBox;
     use tensorkmc_nnp::{ModelConfig, NnpModel};
-    use tensorkmc_operators::NnpDirectEvaluator;
+    use tensorkmc_operators::{NnpDirectEvaluator, VacancyEnergyEvaluator};
     use tensorkmc_potential::FeatureSet;
+
+    /// Gathers, evaluates and applies one system's energies.
+    fn refresh(
+        sys: &mut VacancySystem,
+        lattice: &SiteArray,
+        geom: &RegionGeometry,
+        eval: &NnpDirectEvaluator,
+        law: &RateLaw,
+    ) {
+        sys.gather_vet(lattice, geom);
+        let e = eval.state_energies(&sys.vet).unwrap();
+        sys.apply_energies(geom, law, &e);
+    }
 
     fn setup() -> (SiteArray, Arc<RegionGeometry>, NnpDirectEvaluator) {
         let geom = Arc::new(RegionGeometry::new(2.87, 3.0).unwrap());
@@ -183,7 +170,7 @@ mod tests {
         let (lattice, geom, eval) = setup();
         let law = RateLaw::at_temperature(573.0);
         let mut sys = VacancySystem::new(HalfVec::new(4, 4, 4));
-        sys.refresh(&lattice, &geom, &eval, &law).unwrap();
+        refresh(&mut sys, &lattice, &geom, &eval, &law);
         assert!(sys.valid);
         assert!(sys.total_rate > 0.0);
         for k in 0..8 {
@@ -200,7 +187,7 @@ mod tests {
         lattice.set_at(HalfVec::new(3, 3, 3), Species::Vacancy);
         let law = RateLaw::at_temperature(573.0);
         let mut sys = VacancySystem::new(HalfVec::new(4, 4, 4));
-        sys.refresh(&lattice, &geom, &eval, &law).unwrap();
+        refresh(&mut sys, &lattice, &geom, &eval, &law);
         assert_eq!(sys.rates[0], 0.0);
         assert!(sys.rates[1..].iter().all(|&r| r > 0.0));
     }

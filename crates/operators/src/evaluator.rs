@@ -4,6 +4,14 @@
 //! the initial state and of all 8 candidate final states. Only *differences*
 //! between these energies enter the rate law (paper Eq. 2), and sites outside
 //! the jump region cancel exactly, so region sums are sufficient.
+//!
+//! Both NNP evaluators run one pipeline, [`NnpEvaluator`]: build each
+//! system's features, pack the rows of the whole batch (content-unique rows
+//! on the delta path, every `(1+8)·N_region` row on the dense path), infer
+//! them in one kernel call, and reduce back to per-state energies. The
+//! [`NnpBackend`] supplies the two execution-specific halves — the feature
+//! operator and the inference kernel — for the host and the simulated core
+//! group.
 
 use crate::bigfusion::{bigfusion_on_cg, bigfusion_on_cg_bf16};
 use crate::error::OperatorError;
@@ -66,20 +74,9 @@ impl OpTelemetry {
         }
     }
 
-    /// Counts feature rows recomputed vs reused bit-for-bit from state 0.
-    pub(crate) fn record_rows(&self, computed: usize, reused: usize) {
-        self.rows_computed.add(computed as u64);
-        self.rows_reused.add(reused as u64);
-    }
-
-    /// Records the distinct-row count of one kernel call after dedup.
-    pub(crate) fn record_unique_rows(&self, n: usize) {
-        self.unique_rows.record(n as u64);
-    }
-
     /// Opens a bare trace span (no metric timer) when tracing is on — the
-    /// dedup and scatter sub-phases of the delta path.
-    pub(crate) fn trace_span(&self, name: &'static str) -> Option<SpanGuard> {
+    /// dedup and scatter sub-phases of the pipeline.
+    fn trace_span(&self, name: &'static str) -> Option<SpanGuard> {
         self.tracer.as_ref().map(|t| t.span(name))
     }
 
@@ -87,31 +84,20 @@ impl OpTelemetry {
     fn span(&self, name: &'static str, timer: &Arc<Timer>) -> OpSpan {
         OpSpan {
             _timer: timer.scoped(),
-            _trace: self.tracer.as_ref().map(|t| t.span(name)),
+            _trace: self.trace_span(name),
         }
     }
 
-    /// Starts the feature-operator span and counts the evaluation.
-    pub(crate) fn feature_span(&self) -> OpSpan {
-        self.evals.inc();
-        self.span(keys::OP_FEATURE, &self.feature)
-    }
-
-    /// Starts the feature-operator span for a batch of `n` systems,
-    /// counting every evaluation the batch folds in.
-    pub(crate) fn batch_feature_span(&self, n: usize) -> OpSpan {
+    /// Starts the feature-operator span for `n` systems, counting their
+    /// evaluations.
+    fn feature_span(&self, n: usize) -> OpSpan {
         self.evals.add(n as u64);
         self.span(keys::OP_FEATURE, &self.feature)
     }
 
-    /// Starts the kernel span.
-    pub(crate) fn kernel_span(&self) -> OpSpan {
-        self.span(self.kernel_key, &self.kernel)
-    }
-
-    /// Starts the kernel span for one batched call folding `n` systems,
-    /// recording the batch size into `op.kernel.batch`.
-    pub(crate) fn batch_kernel_span(&self, n: usize) -> OpSpan {
+    /// Starts the kernel span of one call folding `n` systems, recording
+    /// `n` into `op.kernel.batch`.
+    fn kernel_span(&self, n: usize) -> OpSpan {
         self.batch.record(n as u64);
         self.span(self.kernel_key, &self.kernel)
     }
@@ -271,18 +257,134 @@ fn reduce_energies(nr: usize, site_energies: &[f32], vet: &[Species]) -> StateEn
     }
 }
 
-/// Shared construction of the deployment tables.
-fn build_tables(model: &NnpModel, geom: &RegionGeometry) -> (FeatureOpTables, F32Stack) {
-    let table = FeatureTable::new(model.features.clone(), &geom.shells);
-    (
-        FeatureOpTables::new(geom, &table),
-        F32Stack::from_model(model),
-    )
+/// The execution-specific halves of the NNP pipeline: the feature operator
+/// that turns one VET into feature rows, and the kernel that infers packed
+/// rows. Every backend must produce the same bits for the same rows.
+pub trait NnpBackend: Send + Sync {
+    /// The `op.kernel.*` key the kernel is timed under.
+    const KERNEL_KEY: &'static str;
+
+    /// Workers that build a batch's per-system features (`1` = in order on
+    /// the calling thread).
+    fn build_threads(&self) -> usize;
+
+    /// Dense features of one system: `(1+8)·N_region` rows.
+    fn features(
+        &self,
+        tables: &FeatureOpTables,
+        vet: &[Species],
+    ) -> Result<StateFeatures, OperatorError>;
+
+    /// Delta features of one system: state-0 rows plus the rows each swap
+    /// can change.
+    fn features_delta(
+        &self,
+        tables: &FeatureOpTables,
+        vet: &[Species],
+    ) -> Result<DeltaFeatures, OperatorError>;
+
+    /// Infers `m` packed rows with the f32 stack.
+    fn infer(&self, stack: &F32Stack, rows: &[f32], m: usize) -> Result<Vec<f32>, OperatorError>;
+
+    /// Infers `m` packed rows with the bf16 stack.
+    fn infer_bf16(
+        &self,
+        stack: &Bf16Stack,
+        rows: &[f32],
+        m: usize,
+    ) -> Result<Vec<f32>, OperatorError>;
 }
 
-/// Plain-Rust reference evaluator: serial features + fused layer-at-a-time
-/// kernel. This is the "x86 / libtensorflow_cc" execution style of Fig. 11.
-pub struct NnpDirectEvaluator {
+/// The host backend — the "x86 / libtensorflow_cc" execution style of
+/// Fig. 11: serial feature operator, systems built in parallel on the
+/// thread pool, layer-at-a-time fused kernel.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HostBackend;
+
+impl NnpBackend for HostBackend {
+    const KERNEL_KEY: &'static str = keys::OP_KERNEL_FUSED;
+
+    fn build_threads(&self) -> usize {
+        pool::max_threads()
+    }
+
+    fn features(
+        &self,
+        tables: &FeatureOpTables,
+        vet: &[Species],
+    ) -> Result<StateFeatures, OperatorError> {
+        features_serial(tables, vet)
+    }
+
+    fn features_delta(
+        &self,
+        tables: &FeatureOpTables,
+        vet: &[Species],
+    ) -> Result<DeltaFeatures, OperatorError> {
+        features_serial_delta(tables, vet)
+    }
+
+    fn infer(&self, stack: &F32Stack, rows: &[f32], m: usize) -> Result<Vec<f32>, OperatorError> {
+        stage4_fused(stack, rows, BatchShape { n: m, h: 1, w: 1 })
+    }
+
+    fn infer_bf16(
+        &self,
+        stack: &Bf16Stack,
+        rows: &[f32],
+        m: usize,
+    ) -> Result<Vec<f32>, OperatorError> {
+        stage4_fused_bf16(stack, rows, BatchShape { n: m, h: 1, w: 1 })
+    }
+}
+
+/// The core-group backend — "SW(opt)" in Fig. 11: the CPE-parallel fast
+/// feature operator (systems built in order, each already spread over the
+/// CPEs) and the big-fusion kernel on a dedicated simulated core group.
+pub struct CoreGroupBackend {
+    cg: CoreGroup,
+}
+
+impl NnpBackend for CoreGroupBackend {
+    const KERNEL_KEY: &'static str = keys::OP_KERNEL_BIGFUSION;
+
+    fn build_threads(&self) -> usize {
+        1
+    }
+
+    fn features(
+        &self,
+        tables: &FeatureOpTables,
+        vet: &[Species],
+    ) -> Result<StateFeatures, OperatorError> {
+        features_cpe(&self.cg, tables, vet)
+    }
+
+    fn features_delta(
+        &self,
+        tables: &FeatureOpTables,
+        vet: &[Species],
+    ) -> Result<DeltaFeatures, OperatorError> {
+        features_cpe_delta(&self.cg, tables, vet)
+    }
+
+    fn infer(&self, stack: &F32Stack, rows: &[f32], m: usize) -> Result<Vec<f32>, OperatorError> {
+        bigfusion_on_cg(&self.cg, stack, rows, m)
+    }
+
+    fn infer_bf16(
+        &self,
+        stack: &Bf16Stack,
+        rows: &[f32],
+        m: usize,
+    ) -> Result<Vec<f32>, OperatorError> {
+        bigfusion_on_cg_bf16(&self.cg, stack, rows, m)
+    }
+}
+
+/// An NNP evaluator: deployment tables, the f32 and bf16 weight stacks,
+/// and one [`NnpBackend`].
+pub struct NnpEvaluator<B> {
     geom: Arc<RegionGeometry>,
     tables: FeatureOpTables,
     stack: F32Stack,
@@ -290,38 +392,61 @@ pub struct NnpDirectEvaluator {
     precision: Precision,
     delta_features: bool,
     telemetry: Option<OpTelemetry>,
+    backend: B,
 }
+
+/// Plain-Rust reference evaluator: serial features + fused layer-at-a-time
+/// kernel.
+pub type NnpDirectEvaluator = NnpEvaluator<HostBackend>;
+
+/// The optimised TensorKMC evaluator: CPE-parallel fast feature operator +
+/// big-fusion energy kernel on the simulated core group.
+pub type SunwayEvaluator = NnpEvaluator<CoreGroupBackend>;
 
 impl NnpDirectEvaluator {
     /// Builds the evaluator from a trained model and a region geometry.
     /// The delta-state feature path is on by default; precision is f32.
     /// The bf16 stack is quantized here, once — never per evaluation.
     pub fn new(model: &NnpModel, geom: Arc<RegionGeometry>) -> Self {
-        let (tables, stack) = build_tables(model, &geom);
-        let bf16_stack = Bf16Stack::from_f32(&stack);
-        NnpDirectEvaluator {
-            geom,
-            tables,
+        NnpEvaluator::with_backend(model, geom, HostBackend)
+    }
+}
+
+impl SunwayEvaluator {
+    /// Builds the evaluator with a dedicated core group (otherwise as
+    /// [`NnpDirectEvaluator::new`]).
+    pub fn new(model: &NnpModel, geom: Arc<RegionGeometry>, cg_config: CgConfig) -> Self {
+        let cg = CoreGroup::new(cg_config);
+        NnpEvaluator::with_backend(model, geom, CoreGroupBackend { cg })
+    }
+
+    /// The underlying core group (for traffic inspection in benchmarks).
+    pub fn core_group(&self) -> &CoreGroup {
+        &self.backend.cg
+    }
+}
+
+impl<B: NnpBackend> NnpEvaluator<B> {
+    fn with_backend(model: &NnpModel, geom: Arc<RegionGeometry>, backend: B) -> Self {
+        let table = FeatureTable::new(model.features.clone(), &geom.shells);
+        let stack = F32Stack::from_model(model);
+        NnpEvaluator {
+            tables: FeatureOpTables::new(&geom, &table),
+            bf16_stack: Bf16Stack::from_f32(&stack),
             stack,
-            bf16_stack,
+            geom,
             precision: Precision::F32,
             delta_features: true,
             telemetry: None,
+            backend,
         }
     }
 
-    /// Runs the active backend's fused kernel over `input` rows.
-    fn infer(&self, input: &[f32], shape: BatchShape) -> Result<Vec<f32>, OperatorError> {
-        match self.precision {
-            Precision::F32 => stage4_fused(&self.stack, input, shape),
-            Precision::Bf16 => stage4_fused_bf16(&self.bf16_stack, input, shape),
-        }
-    }
-
-    /// Records feature (`op.feature`) and kernel (`op.kernel.fused`) spans
-    /// plus the evaluation counter into `registry`.
+    /// Records feature (`op.feature`) and kernel spans (`op.kernel.fused`
+    /// on the host, `op.kernel.bigfusion` on the core group) plus the
+    /// evaluation counter into `registry`.
     pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.telemetry = Some(OpTelemetry::new(registry, keys::OP_KERNEL_FUSED));
+        self.telemetry = Some(OpTelemetry::new(registry, B::KERNEL_KEY));
         self
     }
 
@@ -334,376 +459,109 @@ impl NnpDirectEvaluator {
     pub fn stack(&self) -> &F32Stack {
         &self.stack
     }
-}
 
-impl VacancyEnergyEvaluator for NnpDirectEvaluator {
-    fn state_energies(&self, vet: &[Species]) -> Result<StateEnergies, OperatorError> {
-        if self.delta_features {
-            let feature_span = self.telemetry.as_ref().map(|t| t.feature_span());
-            let feats = features_serial_delta(&self.tables, vet)?;
-            drop(feature_span);
-            let nr = self.tables.n_region;
-            let dedup_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_DEDUP));
-            let mut interner = RowInterner::new(self.tables.n_features);
-            let plan = UniqueRowPlan::build(&self.tables, &feats, &mut interner);
-            drop(dedup_trace);
-            if let Some(t) = &self.telemetry {
-                let packed = self.tables.packed_rows();
-                t.record_rows(packed, N_STATES * nr - packed);
-                t.record_unique_rows(interner.len());
-            }
-            let shape = BatchShape {
-                n: interner.len(),
-                h: 1,
-                w: 1,
-            };
-            let kernel_span = self.telemetry.as_ref().map(|t| t.kernel_span());
-            let energies = self.infer(interner.rows(), shape)?;
-            drop(kernel_span);
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_SCATTER));
-            let mut site_energies = vec![0f32; N_STATES * nr];
-            plan.scatter(&self.tables, &energies, &mut site_energies);
-            let out = reduce_energies(nr, &site_energies, vet);
-            drop(scatter_trace);
-            return Ok(out);
-        }
-        let feature_span = self.telemetry.as_ref().map(|t| t.feature_span());
-        let feats = features_serial(&self.tables, vet)?;
-        drop(feature_span);
-        let nr = feats.n_region;
-        // One batch of 9·N_region rows through the layer-at-a-time kernel.
-        let mut batch = Vec::with_capacity(N_STATES * nr * feats.n_features);
-        for s in &feats.states {
-            batch.extend_from_slice(s);
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_rows(N_STATES * nr, 0);
-        }
-        let shape = BatchShape {
-            n: N_STATES,
-            h: 1,
-            w: nr,
-        };
-        let kernel_span = self.telemetry.as_ref().map(|t| t.kernel_span());
-        let site_energies = self.infer(&batch, shape)?;
-        drop(kernel_span);
-        Ok(reduce_energies(nr, &site_energies, vet))
-    }
-
-    // Cross-system batching: per-system feature matrices built in parallel
-    // on the scoped pool, then a single layer-at-a-time kernel call over
-    // the concatenated `(1+8)·N_region · n_sys` rows. Rows are independent
-    // and keep their order, so the result is bit-identical to looping
-    // `state_energies`.
-    fn evaluate_states_batch(
+    /// Builds one value per system on the backend's build workers, in
+    /// system order; the first failing system's error fails the batch.
+    fn per_system<T: Send>(
         &self,
         vets: &[&[Species]],
-    ) -> Result<Vec<StateEnergies>, OperatorError> {
-        match vets {
-            [] => return Ok(Vec::new()),
-            [only] => return Ok(vec![self.state_energies(only)?]),
-            _ => {}
-        }
-        let n_sys = vets.len();
-        let nr = self.tables.n_region;
-        if self.delta_features {
-            let feature_span = self.telemetry.as_ref().map(|t| t.batch_feature_span(n_sys));
-            let built: Vec<Result<DeltaFeatures, OperatorError>> =
-                pool::par_map_collect(n_sys, |i| features_serial_delta(&self.tables, vets[i]));
-            drop(feature_span);
-            let mut feats = Vec::with_capacity(n_sys);
-            for f in built {
-                feats.push(f?);
-            }
-            // One interner across the whole batch: rows repeated between
-            // systems are inferred once. Interning is sequential in system
-            // order, so row ids (and the kernel input) are deterministic.
-            let dedup_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_DEDUP));
-            let mut interner = RowInterner::new(self.tables.n_features);
-            let plans: Vec<UniqueRowPlan> = feats
-                .iter()
-                .map(|f| UniqueRowPlan::build(&self.tables, f, &mut interner))
-                .collect();
-            drop(dedup_trace);
-            if let Some(t) = &self.telemetry {
-                let packed = self.tables.packed_rows() * n_sys;
-                t.record_rows(packed, N_STATES * nr * n_sys - packed);
-                t.record_unique_rows(interner.len());
-            }
-            let shape = BatchShape {
-                n: interner.len(),
-                h: 1,
-                w: 1,
-            };
-            let kernel_span = self.telemetry.as_ref().map(|t| t.batch_kernel_span(n_sys));
-            let energies = self.infer(interner.rows(), shape)?;
-            drop(kernel_span);
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_SCATTER));
-            let mut site_energies = vec![0f32; N_STATES * nr];
-            let out = plans
-                .iter()
-                .zip(vets)
-                .map(|(plan, vet)| {
-                    plan.scatter(&self.tables, &energies, &mut site_energies);
-                    reduce_energies(nr, &site_energies, vet)
-                })
-                .collect();
-            drop(scatter_trace);
-            return Ok(out);
-        }
-        let feature_span = self.telemetry.as_ref().map(|t| t.batch_feature_span(n_sys));
-        let built: Vec<Result<StateFeatures, OperatorError>> =
-            pool::par_map_collect(n_sys, |i| features_serial(&self.tables, vets[i]));
-        drop(feature_span);
-        let mut feats = Vec::with_capacity(n_sys);
-        for f in built {
-            feats.push(f?);
-        }
-        let rows_per_sys = N_STATES * nr;
-        let mut batch = Vec::with_capacity(n_sys * rows_per_sys * feats[0].n_features);
-        for f in &feats {
-            for s in &f.states {
-                batch.extend_from_slice(s);
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_rows(rows_per_sys * n_sys, 0);
-        }
-        let shape = BatchShape {
-            n: n_sys * N_STATES,
-            h: 1,
-            w: nr,
+        build: impl Fn(&FeatureOpTables, &[Species]) -> Result<T, OperatorError> + Sync,
+    ) -> Result<Vec<T>, OperatorError> {
+        // A lone system builds inline without asking the backend: reading
+        // the host's parallelism costs about as much as a feature build.
+        let threads = match vets.len() {
+            1 => 1,
+            _ => self.backend.build_threads(),
         };
-        let kernel_span = self.telemetry.as_ref().map(|t| t.batch_kernel_span(n_sys));
-        let site_energies = self.infer(&batch, shape)?;
-        drop(kernel_span);
-        Ok(vets
-            .iter()
-            .enumerate()
-            .map(|(i, vet)| {
-                let block = &site_energies[i * rows_per_sys..(i + 1) * rows_per_sys];
-                reduce_energies(nr, block, vet)
-            })
-            .collect())
+        pool::par_map_collect_threads(threads, vets.len(), |i| build(&self.tables, vets[i]))
+            .into_iter()
+            .collect()
     }
 
-    fn geometry(&self) -> &RegionGeometry {
-        &self.geom
-    }
-
-    fn set_delta_features(&mut self, on: bool) {
-        self.delta_features = on;
-    }
-
-    fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-    }
-
-    fn rows_per_system(&self) -> usize {
-        if self.delta_features {
-            self.tables.packed_rows()
-        } else {
-            (1 + crate::N_FINAL_STATES) * self.geom.n_region()
-        }
-    }
-}
-
-/// The optimised TensorKMC evaluator: CPE-parallel fast feature operator +
-/// big-fusion energy kernel on the simulated core group ("SW(opt)" in
-/// Fig. 11).
-pub struct SunwayEvaluator {
-    geom: Arc<RegionGeometry>,
-    tables: FeatureOpTables,
-    stack: F32Stack,
-    bf16_stack: Bf16Stack,
-    precision: Precision,
-    cg: CoreGroup,
-    delta_features: bool,
-    telemetry: Option<OpTelemetry>,
-}
-
-impl SunwayEvaluator {
-    /// Builds the evaluator with a dedicated core group. The delta-state
-    /// feature path is on by default; precision is f32. The bf16 stack is
-    /// quantized here, once — never per evaluation.
-    pub fn new(model: &NnpModel, geom: Arc<RegionGeometry>, cg_config: CgConfig) -> Self {
-        let (tables, stack) = build_tables(model, &geom);
-        let bf16_stack = Bf16Stack::from_f32(&stack);
-        SunwayEvaluator {
-            geom,
-            tables,
-            stack,
-            bf16_stack,
-            precision: Precision::F32,
-            cg: CoreGroup::new(cg_config),
-            delta_features: true,
-            telemetry: None,
-        }
-    }
-
-    /// Runs the active backend's big-fusion kernel over `m` input rows.
-    fn infer(&self, input: &[f32], m: usize) -> Result<Vec<f32>, OperatorError> {
+    /// Runs the active precision's kernel over `m` packed rows of a batch
+    /// of `n` systems.
+    fn infer(&self, rows: &[f32], m: usize, n: usize) -> Result<Vec<f32>, OperatorError> {
+        let _span = self.telemetry.as_ref().map(|t| t.kernel_span(n));
         match self.precision {
-            Precision::F32 => bigfusion_on_cg(&self.cg, &self.stack, input, m),
-            Precision::Bf16 => bigfusion_on_cg_bf16(&self.cg, &self.bf16_stack, input, m),
+            Precision::F32 => self.backend.infer(&self.stack, rows, m),
+            Precision::Bf16 => self.backend.infer_bf16(&self.bf16_stack, rows, m),
         }
-    }
-
-    /// Records feature (`op.feature`) and kernel (`op.kernel.bigfusion`)
-    /// spans plus the evaluation counter into `registry`.
-    pub fn with_telemetry(mut self, registry: &Registry) -> Self {
-        self.telemetry = Some(OpTelemetry::new(registry, keys::OP_KERNEL_BIGFUSION));
-        self
-    }
-
-    /// The underlying core group (for traffic inspection in benchmarks).
-    pub fn core_group(&self) -> &CoreGroup {
-        &self.cg
     }
 }
 
-impl VacancyEnergyEvaluator for SunwayEvaluator {
+impl<B: NnpBackend> VacancyEnergyEvaluator for NnpEvaluator<B> {
     fn state_energies(&self, vet: &[Species]) -> Result<StateEnergies, OperatorError> {
-        if self.delta_features {
-            let feature_span = self.telemetry.as_ref().map(|t| t.feature_span());
-            let feats = features_cpe_delta(&self.cg, &self.tables, vet)?;
-            drop(feature_span);
-            let nr = self.tables.n_region;
-            let dedup_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_DEDUP));
-            let mut interner = RowInterner::new(self.tables.n_features);
-            let plan = UniqueRowPlan::build(&self.tables, &feats, &mut interner);
-            drop(dedup_trace);
-            if let Some(t) = &self.telemetry {
-                let packed = self.tables.packed_rows();
-                t.record_rows(packed, N_STATES * nr - packed);
-                t.record_unique_rows(interner.len());
-            }
-            let kernel_span = self.telemetry.as_ref().map(|t| t.kernel_span());
-            let energies = self.infer(interner.rows(), interner.len())?;
-            drop(kernel_span);
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_SCATTER));
-            let mut site_energies = vec![0f32; N_STATES * nr];
-            plan.scatter(&self.tables, &energies, &mut site_energies);
-            let out = reduce_energies(nr, &site_energies, vet);
-            drop(scatter_trace);
-            return Ok(out);
-        }
-        let feature_span = self.telemetry.as_ref().map(|t| t.feature_span());
-        let feats = features_cpe(&self.cg, &self.tables, vet)?;
-        drop(feature_span);
-        let nr = feats.n_region;
-        let mut batch = Vec::with_capacity(N_STATES * nr * feats.n_features);
-        for s in &feats.states {
-            batch.extend_from_slice(s);
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_rows(N_STATES * nr, 0);
-        }
-        let kernel_span = self.telemetry.as_ref().map(|t| t.kernel_span());
-        let site_energies = self.infer(&batch, N_STATES * nr)?;
-        drop(kernel_span);
-        Ok(reduce_energies(nr, &site_energies, vet))
+        Ok(self.evaluate_states_batch(&[vet])?[0])
     }
 
-    // Cross-system batching on the core group: the fast feature operator
-    // runs per system (it is already CPE-parallel inside), then the
-    // big-fusion kernel runs **once** over the concatenated rows — so the
-    // LDM-resident weight fetch, `n_cpes · weight_bytes` of RMA, is paid
-    // once per batch instead of once per system.
+    // The one pipeline. Rows are independent and keep their order, and
+    // dedup replays each distinct row's bits, so a batch returns exactly
+    // the bits of evaluating its systems one at a time; a batch pays the
+    // kernel's fixed costs — above all the big-fusion weight RMA — once.
     fn evaluate_states_batch(
         &self,
         vets: &[&[Species]],
     ) -> Result<Vec<StateEnergies>, OperatorError> {
-        match vets {
-            [] => return Ok(Vec::new()),
-            [only] => return Ok(vec![self.state_energies(only)?]),
-            _ => {}
+        let n = vets.len();
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        let n_sys = vets.len();
+        let tel = self.telemetry.as_ref();
         let nr = self.tables.n_region;
-        if self.delta_features {
-            let feature_span = self.telemetry.as_ref().map(|t| t.batch_feature_span(n_sys));
-            let mut feats = Vec::with_capacity(n_sys);
-            for vet in vets {
-                feats.push(features_cpe_delta(&self.cg, &self.tables, vet)?);
-            }
+        let dense_rows = N_STATES * nr;
+        // Row packing. Delta: one interner across the batch, filled in
+        // system order, so rows repeated within or between systems are
+        // inferred once and row ids are deterministic. Dense: every state's
+        // rows, system after system.
+        let mut interner = RowInterner::new(self.tables.n_features);
+        let mut dense = Vec::new();
+        let feature_span = tel.map(|t| t.feature_span(n));
+        let plans = if self.delta_features {
+            let feats = self.per_system(vets, |t, vet| self.backend.features_delta(t, vet))?;
             drop(feature_span);
-            let dedup_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_DEDUP));
-            let mut interner = RowInterner::new(self.tables.n_features);
+            let _dedup = tel.and_then(|t| t.trace_span(keys::OP_DEDUP));
             let plans: Vec<UniqueRowPlan> = feats
                 .iter()
                 .map(|f| UniqueRowPlan::build(&self.tables, f, &mut interner))
                 .collect();
-            drop(dedup_trace);
-            if let Some(t) = &self.telemetry {
-                let packed = self.tables.packed_rows() * n_sys;
-                t.record_rows(packed, N_STATES * nr * n_sys - packed);
-                t.record_unique_rows(interner.len());
+            if let Some(t) = tel {
+                let packed = self.tables.packed_rows() * n;
+                t.rows_computed.add(packed as u64);
+                t.rows_reused.add((dense_rows * n - packed) as u64);
+                t.unique_rows.record(interner.len() as u64);
             }
-            let kernel_span = self.telemetry.as_ref().map(|t| t.batch_kernel_span(n_sys));
-            let energies = self.infer(interner.rows(), interner.len())?;
-            drop(kernel_span);
-            let scatter_trace = self
-                .telemetry
-                .as_ref()
-                .and_then(|t| t.trace_span(keys::OP_SCATTER));
-            let mut site_energies = vec![0f32; N_STATES * nr];
-            let out = plans
-                .iter()
-                .zip(vets)
-                .map(|(plan, vet)| {
-                    plan.scatter(&self.tables, &energies, &mut site_energies);
-                    reduce_energies(nr, &site_energies, vet)
-                })
-                .collect();
-            drop(scatter_trace);
-            return Ok(out);
-        }
-        let feature_span = self.telemetry.as_ref().map(|t| t.batch_feature_span(n_sys));
-        let mut feats = Vec::with_capacity(n_sys);
-        for vet in vets {
-            feats.push(features_cpe(&self.cg, &self.tables, vet)?);
-        }
-        drop(feature_span);
-        let rows_per_sys = N_STATES * nr;
-        let mut batch = Vec::with_capacity(n_sys * rows_per_sys * feats[0].n_features);
-        for f in &feats {
-            for s in &f.states {
-                batch.extend_from_slice(s);
+            Some(plans)
+        } else {
+            let feats = self.per_system(vets, |t, vet| self.backend.features(t, vet))?;
+            drop(feature_span);
+            dense.reserve(n * dense_rows * self.tables.n_features);
+            for s in feats.iter().flat_map(|f| &f.states) {
+                dense.extend_from_slice(s);
             }
-        }
-        if let Some(t) = &self.telemetry {
-            t.record_rows(rows_per_sys * n_sys, 0);
-        }
-        let kernel_span = self.telemetry.as_ref().map(|t| t.batch_kernel_span(n_sys));
-        let site_energies = self.infer(&batch, n_sys * rows_per_sys)?;
-        drop(kernel_span);
+            if let Some(t) = tel {
+                t.rows_computed.add((dense_rows * n) as u64);
+            }
+            None
+        };
+        let rows = match plans {
+            Some(_) => interner.rows(),
+            None => &dense[..],
+        };
+        let energies = self.infer(rows, rows.len() / self.tables.n_features, n)?;
+
+        let _scatter = tel.and_then(|t| t.trace_span(keys::OP_SCATTER));
+        let mut site_energies = vec![0f32; dense_rows];
         Ok(vets
             .iter()
             .enumerate()
             .map(|(i, vet)| {
-                let block = &site_energies[i * rows_per_sys..(i + 1) * rows_per_sys];
+                let block = match &plans {
+                    Some(plans) => {
+                        plans[i].scatter(&self.tables, &energies, &mut site_energies);
+                        &site_energies[..]
+                    }
+                    None => &energies[i * dense_rows..(i + 1) * dense_rows],
+                };
                 reduce_energies(nr, block, vet)
             })
             .collect())
@@ -725,7 +583,7 @@ impl VacancyEnergyEvaluator for SunwayEvaluator {
         if self.delta_features {
             self.tables.packed_rows()
         } else {
-            (1 + crate::N_FINAL_STATES) * self.geom.n_region()
+            N_STATES * self.geom.n_region()
         }
     }
 }
@@ -826,7 +684,11 @@ mod tests {
         let direct = NnpDirectEvaluator::new(&model, Arc::clone(&geom));
         let sunway = SunwayEvaluator::new(&model, Arc::clone(&geom), CgConfig::default());
         let mut rng = StdRng::seed_from_u64(12);
-        let vets: Vec<Vec<Species>> = (0..5).map(|_| random_vet(geom.n_all(), &mut rng)).collect();
+        let mut vets: Vec<Vec<Species>> =
+            (0..5).map(|_| random_vet(geom.n_all(), &mut rng)).collect();
+        // The same VET twice: every row of the repeat dedups against the
+        // first copy across the system boundary.
+        vets.push(vets[1].clone());
         let refs: Vec<&[Species]> = vets.iter().map(|v| v.as_slice()).collect();
         for ev in [
             &direct as &dyn VacancyEnergyEvaluator,
@@ -882,18 +744,24 @@ mod tests {
     fn batch_edge_cases_empty_and_single() {
         let (model, geom) = small_model(15);
         let direct = NnpDirectEvaluator::new(&model, Arc::clone(&geom));
-        assert!(direct.evaluate_states_batch(&[]).unwrap().is_empty());
+        let sunway = SunwayEvaluator::new(&model, Arc::clone(&geom), CgConfig::default());
         let mut rng = StdRng::seed_from_u64(16);
         let vet = random_vet(geom.n_all(), &mut rng);
-        let got = direct.evaluate_states_batch(&[&vet]).unwrap();
-        let want = direct.state_energies(&vet).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].initial.to_bits(), want.initial.to_bits());
-        // A bad VET anywhere in the batch fails the whole call.
-        assert!(matches!(
-            direct.evaluate_states_batch(&[&vet, &vet[..3]]),
-            Err(OperatorError::VetShape { .. })
-        ));
+        for ev in [
+            &direct as &dyn VacancyEnergyEvaluator,
+            &sunway as &dyn VacancyEnergyEvaluator,
+        ] {
+            assert!(ev.evaluate_states_batch(&[]).unwrap().is_empty());
+            let got = ev.evaluate_states_batch(&[&vet]).unwrap();
+            let want = ev.state_energies(&vet).unwrap();
+            assert_eq!(got.len(), 1);
+            assert_energies_bit_equal(&got[0], &want, "batch of one");
+            // A bad VET anywhere in the batch fails the whole call.
+            assert!(matches!(
+                ev.evaluate_states_batch(&[&vet, &vet[..3], &vet]),
+                Err(OperatorError::VetShape { .. })
+            ));
+        }
     }
 
     #[test]

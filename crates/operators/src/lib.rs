@@ -34,8 +34,8 @@ pub mod weights;
 pub use eam_evaluator::EamLatticeEvaluator;
 pub use error::OperatorError;
 pub use evaluator::{
-    NnpDirectEvaluator, OpTelemetry, StateEnergies, SunwayEvaluator, VacancyEnergyEvaluator,
-    VacancyEnergyEvaluatorBox,
+    CoreGroupBackend, HostBackend, NnpBackend, NnpDirectEvaluator, NnpEvaluator, OpTelemetry,
+    StateEnergies, SunwayEvaluator, VacancyEnergyEvaluator, VacancyEnergyEvaluatorBox,
 };
 pub use feature_op::{DeltaFeatures, RowInterner, UniqueRowPlan};
 pub use weights::{Bf16Stack, F32Stack, Precision};

@@ -34,7 +34,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use tensorkmc_compat::rng::StdRng;
-use tensorkmc_core::{RateLaw, SumTree, VacancySystem};
+use tensorkmc_core::{
+    EnergyMemoCache, RateLaw, RefreshPipeline, RefreshPlan, SumTree, VacancySystem,
+};
 use tensorkmc_lattice::{HalfVec, RegionGeometry, SiteArray, SiteIndexer, Species};
 use tensorkmc_operators::VacancyEnergyEvaluator;
 use tensorkmc_telemetry::{keys, Counter, Registry, Snapshot, SpanGuard, Timer, Tracer};
@@ -236,6 +238,9 @@ struct Worker<'a, E> {
     rng: StdRng,
     events: u64,
     footprint_n2: i64,
+    /// The shared refresh pipeline, run per system with no memo.
+    refresh: RefreshPipeline,
+    memo: EnergyMemoCache,
 }
 
 impl<'a, E: VacancyEnergyEvaluator> Worker<'a, E> {
@@ -280,6 +285,8 @@ impl<'a, E: VacancyEnergyEvaluator> Worker<'a, E> {
             rng: StdRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             events: 0,
             footprint_n2,
+            refresh: RefreshPipeline::default(),
+            memo: EnergyMemoCache::new(0),
         }
     }
 
@@ -319,19 +326,22 @@ impl<'a, E: VacancyEnergyEvaluator> Worker<'a, E> {
         let mut t_local = 0.0;
         loop {
             // Refresh stale systems of still-eligible vacancies.
-            for i in 0..systems.len() {
-                if eligible[i] && !systems[i].valid {
-                    let storage = &self.storage;
-                    let indexer = &self.indexer;
-                    systems[i].refresh_with(
-                        |p| storage[indexer.slot(p).expect("halo covers footprint")],
-                        self.geom,
-                        &self.evaluator,
-                        law,
-                    )?;
-                    tree.set(i, systems[i].total_rate);
-                }
-            }
+            let storage = &self.storage;
+            let indexer = &self.indexer;
+            self.refresh.run(
+                &mut systems,
+                |i, s| eligible[i] && !s.valid,
+                |p| storage[indexer.slot(p).expect("halo covers footprint")],
+                self.geom,
+                law,
+                &self.evaluator,
+                &mut self.memo,
+                &mut tree,
+                RefreshPlan {
+                    batch_systems: 1,
+                    threads: 1,
+                },
+            )?;
             let total = tree.total();
             #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN-safe
             if !(total > 0.0) {

@@ -82,25 +82,28 @@ pub mod keys {
     pub const CACHE_MISS: &str = "kmc.cache.miss";
     /// Distribution: systems refreshed per step.
     pub const REFRESHED_PER_STEP: &str = "kmc.refreshed_systems_per_step";
-    /// Refresh batches fanned out over the thread pool (the multi-core
-    /// `step.refresh.parallel` span; absent when the engine runs serially).
+    /// Gather + evaluation of a refresh run over two or more workers
+    /// (`refresh_threads ≥ 2`; absent when the refresh runs inline).
     pub const REFRESH_PARALLEL: &str = "kmc.refresh.parallel";
-    /// Distribution: batch size (stale systems) of each parallel refresh.
+    /// Distribution: stale systems per refresh, recorded by every refresh
+    /// that has at least one (single-stale refreshes included).
     pub const REFRESH_BATCH: &str = "kmc.refresh.batch";
-    /// Distribution: feature rows actually submitted per batched kernel
-    /// invocation — memo-cache hits are excluded, and with delta features
-    /// on this counts the packed (state-0 + affected) rows per system, so
-    /// it agrees with `op.feature.rows_computed`. Pair with
-    /// [`REFRESH_BATCH_ROWS_DENSE`] for the dense-equivalent figure.
+    /// Distribution: feature rows actually submitted per evaluated refresh
+    /// chunk (one evaluator call; a refresh whose systems all hit the memo
+    /// records none). With delta features on this counts the packed
+    /// (state-0 + affected) rows per system, so it agrees with
+    /// `op.feature.rows_computed`. Pair with [`REFRESH_BATCH_ROWS_DENSE`]
+    /// for the dense-equivalent figure.
     pub const REFRESH_BATCH_ROWS: &str = "kmc.refresh.batch_rows";
     /// Distribution: dense-equivalent rows (`(1+8)·N_region · systems`) of
-    /// each batched refresh chunk — what the same chunk would cost with
-    /// delta features and the memo cache both off. The ratio to
-    /// [`REFRESH_BATCH_ROWS`] is the combined row saving.
+    /// each evaluated refresh chunk — what the same chunk would cost with
+    /// delta features off. The ratio to [`REFRESH_BATCH_ROWS`] is the row
+    /// saving of the delta path.
     pub const REFRESH_BATCH_ROWS_DENSE: &str = "kmc.refresh.batch_rows_dense";
-    /// Trace span: gathering stale vacancy systems into a refresh batch.
+    /// Trace span: gathering the stale systems' VETs (every refresh).
     pub const REFRESH_GATHER: &str = "kmc.refresh.gather";
-    /// Trace span: scattering batch energies back into the rate tables.
+    /// Trace span: deriving rates from the energies and writing them into
+    /// the propensity tree (every refresh).
     pub const REFRESH_SCATTER: &str = "kmc.refresh.scatter";
     /// Energy-memo hits: stale systems whose exact VET bit pattern was
     /// evaluated before, so refresh replayed the stored energies and
@@ -139,7 +142,8 @@ pub mod keys {
     /// Distribution: distinct rows per NNP kernel call after content
     /// dedup — the rows the kernel actually infers.
     pub const OP_KERNEL_UNIQUE_ROWS: &str = "op.kernel.unique_rows";
-    /// Distribution: vacancy systems folded into each batched kernel call.
+    /// Distribution: vacancy systems folded into each NNP kernel call
+    /// (`1` for a single-system evaluation).
     pub const OP_KERNEL_BATCH: &str = "op.kernel.batch";
     /// Trace span: content-dedup of feature rows before the kernel
     /// (`RowInterner` + `UniqueRowPlan`).

@@ -205,6 +205,9 @@ pub struct Job {
     pub stream: JobStream,
     /// Per-job telemetry registry (usage metering; `GET /jobs/{id}/metrics`).
     pub registry: Arc<Registry>,
+    /// The server registry, where [`Job::set_phase`] counts terminal phases
+    /// (`serve.jobs.<phase>`).
+    pub outcomes: Arc<Registry>,
 }
 
 impl Job {
@@ -226,8 +229,15 @@ impl Job {
         self.status.lock().unwrap().phase
     }
 
-    /// Updates the phase (and error, for failures).
+    /// Updates the phase (and error, for failures). A terminal phase is
+    /// counted under `serve.jobs.<phase>` *before* it is published, so a
+    /// client that sees the phase also sees the count.
     pub fn set_phase(&self, phase: JobPhase, error: Option<JobError>) {
+        if phase.is_terminal() {
+            self.outcomes
+                .counter(&format!("serve.jobs.{}", phase.as_str()))
+                .inc();
+        }
         let mut status = self.status.lock().unwrap();
         status.phase = phase;
         status.error = error;
@@ -272,6 +282,27 @@ mod tests {
         let err = back.error.unwrap();
         assert_eq!(err.kind, "engine");
         assert_eq!(err.message, "evaluator exploded");
+    }
+
+    #[test]
+    fn set_phase_counts_terminal_phases_only() {
+        let outcomes = Arc::new(Registry::new());
+        let job = Job {
+            id: "job-000001".to_string(),
+            deck: InputDeck::default(),
+            deck_text: "{}".to_string(),
+            dir: std::env::temp_dir(),
+            status: Mutex::new(JobStatus::queued()),
+            cancel: AtomicBool::new(false),
+            stream: JobStream::new(),
+            registry: Arc::new(Registry::new()),
+            outcomes: Arc::clone(&outcomes),
+        };
+        job.set_phase(JobPhase::Running, None);
+        assert_eq!(outcomes.snapshot().counter("serve.jobs.running"), None);
+        job.set_phase(JobPhase::Completed, None);
+        assert_eq!(job.phase(), JobPhase::Completed);
+        assert_eq!(outcomes.snapshot().counter("serve.jobs.completed"), Some(1));
     }
 
     #[test]

@@ -195,6 +195,7 @@ impl JobServer {
                     adopted.state.stream_done,
                 ),
                 registry: Arc::new(Registry::new()),
+                outcomes: Arc::clone(&shared.registry),
             });
             shared.jobs.lock().unwrap().insert(adopted.id, Arc::clone(&job));
             if requeue {
@@ -316,18 +317,9 @@ fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop_wait(&shared.stop) {
         shared.update_queue_gauge();
         running.set(running.get() + 1.0);
+        // The terminal phase is counted by `Job::set_phase`.
         runner::run_job(&job, &shared.stop, shared.per_engine_threads);
         running.set((running.get() - 1.0).max(0.0));
-        let key = match job.phase() {
-            JobPhase::Completed => Some("serve.jobs.completed"),
-            JobPhase::Failed => Some("serve.jobs.failed"),
-            JobPhase::Cancelled => Some("serve.jobs.cancelled"),
-            JobPhase::Interrupted => Some("serve.jobs.interrupted"),
-            JobPhase::Queued | JobPhase::Running => None, // drained before start
-        };
-        if let Some(key) = key {
-            shared.registry.counter(key).inc();
-        }
     }
 }
 
@@ -468,6 +460,7 @@ fn submit(shared: &Arc<Shared>, req: &Request, stream: &mut TcpStream) -> std::i
         cancel: AtomicBool::new(false),
         stream: JobStream::new(),
         registry: Arc::new(Registry::new()),
+        outcomes: Arc::clone(&shared.registry),
     });
     shared
         .jobs

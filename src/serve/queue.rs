@@ -113,6 +113,7 @@ mod tests {
             cancel: AtomicBool::new(false),
             stream: JobStream::new(),
             registry: Arc::new(Registry::new()),
+            outcomes: Arc::new(Registry::new()),
         })
     }
 

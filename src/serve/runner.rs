@@ -307,6 +307,7 @@ mod tests {
             cancel: AtomicBool::new(false),
             stream: JobStream::new(),
             registry: Arc::new(Registry::new()),
+            outcomes: Arc::new(Registry::new()),
         })
     }
 
@@ -390,6 +391,7 @@ mod tests {
             cancel: AtomicBool::new(false),
             stream: JobStream::new(),
             registry: Arc::new(Registry::new()),
+            outcomes: Arc::new(Registry::new()),
         })
     }
 

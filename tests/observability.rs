@@ -22,6 +22,14 @@ const STEPS: u64 = 150;
 /// attached only when a registry is given, so the same builder yields the
 /// traced and the control trajectory.
 fn build_engine(registry: Option<&Registry>) -> KmcEngine<NnpDirectEvaluator> {
+    build_engine_with(registry, 1e-3)
+}
+
+/// [`build_engine`] at a chosen vacancy fraction of the 12³-cell box.
+fn build_engine_with(
+    registry: Option<&Registry>,
+    vacancy_fraction: f64,
+) -> KmcEngine<NnpDirectEvaluator> {
     let model = quickstart::train_small_model(11);
     let geom = quickstart::geometry_for(&model);
     let evaluator = NnpDirectEvaluator::new(&model, Arc::clone(&geom));
@@ -32,7 +40,7 @@ fn build_engine(registry: Option<&Registry>) -> KmcEngine<NnpDirectEvaluator> {
     let pbox = PeriodicBox::new(12, 12, 12, 2.87).unwrap();
     let comp = AlloyComposition {
         cu_fraction: 0.0134,
-        vacancy_fraction: 1e-3,
+        vacancy_fraction,
     };
     let lattice = SiteArray::random_alloy(pbox, comp, &mut StdRng::seed_from_u64(13)).unwrap();
     let mut engine = KmcEngine::new(
@@ -112,6 +120,49 @@ fn trace_spans_nest_and_do_not_perturb_the_trajectory() {
         .filter(|e| matches!(e.get("ph"), Some(Json::Str(p)) if p == "X"))
         .count();
     assert_eq!(complete, events.len());
+}
+
+#[test]
+fn two_vacancy_refreshes_trace_gather_and_record_chunks() {
+    // With two vacancies most refreshes have a single stale system; they
+    // run the same pipeline as large batches, so they are traced and
+    // recorded the same way.
+    let registry = Registry::new();
+    let tracer = Tracer::new();
+    registry.set_tracer(Arc::clone(&tracer));
+    let mut engine = build_engine_with(Some(&registry), 6e-4);
+    assert_eq!(engine.n_vacancies(), 2);
+    engine.run_steps(STEPS).unwrap();
+
+    tracer.flush_thread();
+    let events = tracer.events();
+    let pairs = parent_pairs(&events);
+    for (parent, child) in [
+        (keys::REFRESH, keys::REFRESH_GATHER),
+        (keys::REFRESH, keys::REFRESH_SCATTER),
+    ] {
+        assert!(
+            pairs.contains(&(parent, child)),
+            "missing {parent} -> {child}"
+        );
+    }
+    let gathers = events
+        .iter()
+        .filter(|e| e.name == keys::REFRESH_GATHER)
+        .count() as u64;
+    assert_eq!(gathers, STEPS, "one gather per refresh");
+
+    let snap = registry.snapshot();
+    let per_step = snap.histogram(keys::REFRESHED_PER_STEP).unwrap();
+    assert_eq!(per_step.min, 1, "single-stale refreshes occur");
+    let batch = snap.histogram(keys::REFRESH_BATCH).unwrap();
+    assert_eq!(batch.count, STEPS, "one record per refresh");
+    let rows = snap.histogram(keys::REFRESH_BATCH_ROWS).unwrap();
+    let evals = snap.counter(keys::OP_EVALS).unwrap();
+    assert!(
+        rows.count > 0 && rows.count <= evals,
+        "one record per evaluated chunk"
+    );
 }
 
 /// Writes a small EAM deck (no NNP training) into `dir` and returns its path.
